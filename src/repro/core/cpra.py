@@ -17,6 +17,14 @@ hardware in Section 3.1 does, whether the instruction
 Also implemented here: the paper's minor optimizations — move
 collapsing, strength reduction of multiplies by powers of two into
 shifts, and early branch resolution.
+
+The transforms live in one table, :data:`TRANSFORM_BY_ID`, indexed by
+small-integer opcode id and built once at import: each entry takes the
+resolved sources positionally, evaluates constants through the
+id-indexed ALU table (:data:`repro.functional.alu.INT_EVAL_BY_ID`), and
+builds its :class:`Outcome` positionally.  The optimizer's per-static
+rename plans hold these entries directly; :func:`transform` is the
+same lookup keyed by :class:`Opcode`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import enum
 from collections import namedtuple
 
 from ..functional import alu
-from ..isa.opcodes import BranchCond, Opcode, spec_of
+from ..isa.opcodes import OPCODE_ID, OPCODES_BY_ID, BranchCond, Opcode
 from . import symbolic
 from .symbolic import SymVal
 
@@ -65,29 +73,185 @@ class Outcome(_OutcomeFields):
         return self[0] is Kind.REWRITTEN
 
 
-_PLAIN = Outcome(kind=Kind.PLAIN)
+_tuple_new = tuple.__new__
+_EARLY = Kind.EARLY
+_REWRITTEN = Kind.REWRITTEN
 
-#: Opcodes that fold to a constant when all sources are constant but
-#: have no symbolic (base << scale) + offset form otherwise.
-_FOLD_ONLY_OPS = frozenset({
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.BIC,
-    Opcode.SRL, Opcode.SRA,
-    Opcode.CMPEQ, Opcode.CMPNE, Opcode.CMPLT, Opcode.CMPLE,
-    Opcode.CMPULT, Opcode.CMPULE,
-    Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL,
-})
+#: The shared "no optimization" outcome.
+PLAIN = _tuple_new(Outcome, (Kind.PLAIN, None, None, False, False))
+_PLAIN_REDUCED = _tuple_new(Outcome, (Kind.PLAIN, None, None, False, True))
+
+_const = symbolic.const
+_add_const = symbolic.add_const
+_shift_left = symbolic.shift_left
+_INT_EVAL = alu.INT_EVAL_BY_ID
+_SLL = _INT_EVAL[OPCODE_ID[Opcode.SLL]]
+_to_signed64 = alu.to_signed64
+
+# Every transform below takes the resolved sources positionally as
+# ``(a, b)`` (``b`` is None for one-source operations) and builds its
+# Outcome positionally: (kind, value, sym, uses_alu, strength_reduced).
+# A SymVal ``s`` is constant when ``s[0] is None``; its value is ``s[2]``.
 
 
-def _early(opcode: Opcode, values: list[int],
-           strength_reduced: bool = False) -> Outcome:
-    result = alu.evaluate_int(opcode, *values)
-    return Outcome(kind=Kind.EARLY, value=result, sym=symbolic.const(result),
-                   uses_alu=True, strength_reduced=strength_reduced)
+def _plain(a, b) -> Outcome:
+    # div/rem and anything else: never early (multi-cycle), no form.
+    return PLAIN
 
 
-def _rewritten(sym: SymVal, strength_reduced: bool = False) -> Outcome:
-    return Outcome(kind=Kind.REWRITTEN, sym=sym, uses_alu=True,
-                   strength_reduced=strength_reduced)
+def _mov(a, b) -> Outcome:
+    if a[0] is None:
+        return _tuple_new(Outcome, (_EARLY, a[2], a, False, False))
+    # Move collapsing: copy the producer's symbolic value; pure wiring,
+    # no optimizer ALU consumed.
+    return _tuple_new(Outcome, (_REWRITTEN, None, a, False, False))
+
+
+def _add_transform(fn):
+    def add(a, b) -> Outcome:
+        if a[0] is None:
+            if b[0] is None:
+                value = fn(a[2], b[2])
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, False))
+            return _tuple_new(Outcome, (_REWRITTEN, None,
+                                        _add_const(b, a[2]), True, False))
+        if b[0] is None:
+            return _tuple_new(Outcome, (_REWRITTEN, None,
+                                        _add_const(a, b[2]), True, False))
+        return PLAIN
+    return add
+
+
+def _sub_transform(fn):
+    def sub(a, b) -> Outcome:
+        if b[0] is None:
+            if a[0] is None:
+                value = fn(a[2], b[2])
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, False))
+            # Only sym - const is representable.
+            return _tuple_new(Outcome, (_REWRITTEN, None,
+                                        _add_const(a, -b[2]), True, False))
+        return PLAIN
+    return sub
+
+
+def _scaled_add_transform(fn, shift: int):
+    def scaled_add(a, b) -> Outcome:
+        if a[0] is None:
+            if b[0] is None:
+                value = fn(a[2], b[2])
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, False))
+            # (const << k) + sym  ->  sym + (const << k)
+            return _tuple_new(Outcome, (
+                _REWRITTEN, None,
+                _add_const(b, _to_signed64(a[2] << shift)), True, False))
+        if b[0] is None:
+            shifted = _shift_left(a, shift)
+            if shifted is not None:
+                return _tuple_new(Outcome, (
+                    _REWRITTEN, None, _add_const(shifted, b[2]),
+                    True, False))
+        return PLAIN
+    return scaled_add
+
+
+def _shift_left_transform(fn):
+    def shift_left(a, b) -> Outcome:
+        if b[0] is None:
+            if a[0] is None:
+                value = fn(a[2], b[2])
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, False))
+            shifted = _shift_left(a, b[2] & 0x3F)
+            if shifted is not None:
+                return _tuple_new(Outcome, (_REWRITTEN, None, shifted,
+                                            True, False))
+        return PLAIN
+    return shift_left
+
+
+def _multiply(a, b) -> Outcome:
+    """Strength reduction: multiply by a power of two becomes a shift."""
+    for multiplier, other in ((a, b), (b, a)):
+        if multiplier[0] is not None:
+            continue
+        factor = multiplier[2]
+        if factor == 0:
+            return _tuple_new(Outcome, (_EARLY, 0, _const(0), True, True))
+        if factor == 1:
+            if other[0] is None:
+                return _tuple_new(Outcome, (_EARLY, other[2], other,
+                                            True, True))
+            return _tuple_new(Outcome, (_REWRITTEN, None, other, True, True))
+        if factor > 1 and factor & (factor - 1) == 0:
+            shift = factor.bit_length() - 1
+            if other[0] is None:
+                value = _SLL(other[2], shift)
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, True))
+            shifted = _shift_left(other, shift)
+            if shifted is not None:
+                return _tuple_new(Outcome, (_REWRITTEN, None, shifted,
+                                            True, True))
+            # Still executable as a 1-cycle shift even though the
+            # result is not symbolically encodable.
+            return _PLAIN_REDUCED
+    return PLAIN
+
+
+def _fold_transform(fn, unary: bool):
+    """Ops that fold to a constant when all sources are constant but
+    have no symbolic (base << scale) + offset form otherwise."""
+    if unary:
+        def fold_unary(a, b) -> Outcome:
+            if a[0] is None:
+                value = fn(a[2])
+                return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                            True, False))
+            return PLAIN
+        return fold_unary
+
+    def fold(a, b) -> Outcome:
+        if a[0] is None and b[0] is None:
+            value = fn(a[2], b[2])
+            return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                        True, False))
+        return PLAIN
+    return fold
+
+
+def _build_transform(opcode: Opcode):
+    fn = _INT_EVAL[OPCODE_ID[opcode]]
+    if opcode is Opcode.MOV:
+        return _mov
+    if opcode is Opcode.ADD:
+        return _add_transform(fn)
+    if opcode is Opcode.SUB:
+        return _sub_transform(fn)
+    if opcode is Opcode.S4ADD:
+        return _scaled_add_transform(fn, 2)
+    if opcode is Opcode.S8ADD:
+        return _scaled_add_transform(fn, 3)
+    if opcode is Opcode.SLL:
+        return _shift_left_transform(fn)
+    if opcode is Opcode.MUL:
+        return _multiply
+    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.BIC,
+                  Opcode.SRL, Opcode.SRA, Opcode.CMPEQ, Opcode.CMPNE,
+                  Opcode.CMPLT, Opcode.CMPLE, Opcode.CMPULT, Opcode.CMPULE):
+        return _fold_transform(fn, unary=False)
+    if opcode in (Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL):
+        return _fold_transform(alu.UNARY_INT_OPS[opcode], unary=True)
+    return _plain
+
+
+#: CP/RA transform per opcode id: ``transform(a, b) -> Outcome`` over
+#: resolved source values (``b`` is None for one-source operations).
+#: Built once at import; the optimizer's rename plans hold these.
+TRANSFORM_BY_ID = tuple(_build_transform(opcode) for opcode in OPCODES_BY_ID)
 
 
 def transform(opcode: Opcode, srcs: list[SymVal]) -> Outcome:
@@ -97,106 +261,15 @@ def transform(opcode: Opcode, srcs: list[SymVal]) -> Outcome:
     (immediates arrive as constants).  ``lda`` must be presented as
     ``ADD`` with the displacement as the second source.
     """
-    if opcode is Opcode.MOV:
-        src = srcs[0]
-        if src.is_const:
-            return Outcome(kind=Kind.EARLY, value=src.const_value,
-                           sym=src, uses_alu=False)
-        # Move collapsing: copy the producer's symbolic value; pure
-        # wiring, no optimizer ALU consumed.
-        return Outcome(kind=Kind.REWRITTEN, sym=src, uses_alu=False)
-
-    if opcode in (Opcode.ADD, Opcode.SUB):
-        return _transform_add_sub(opcode, srcs[0], srcs[1])
-    if opcode in (Opcode.S4ADD, Opcode.S8ADD):
-        shift = 2 if opcode is Opcode.S4ADD else 3
-        return _transform_scaled_add(opcode, srcs[0], srcs[1], shift)
-    if opcode is Opcode.SLL:
-        return _transform_shift_left(srcs[0], srcs[1])
-    if opcode is Opcode.MUL:
-        return _transform_multiply(srcs[0], srcs[1])
-    if opcode in _FOLD_ONLY_OPS:
-        if all(src.is_const for src in srcs):
-            return _early(opcode, [src.const_value for src in srcs])
-        return _PLAIN
-    # div/rem and anything else: never early (multi-cycle), no form.
-    return _PLAIN
-
-
-def _transform_add_sub(opcode: Opcode, a: SymVal, b: SymVal) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(opcode, [a.const_value, b.const_value])
-    if opcode is Opcode.ADD:
-        if b.is_const:
-            return _rewritten(symbolic.add_const(a, b.const_value))
-        if a.is_const:
-            return _rewritten(symbolic.add_const(b, a.const_value))
-        return _PLAIN
-    # SUB: only sym - const is representable.
-    if b.is_const:
-        return _rewritten(symbolic.add_const(a, -b.const_value))
-    return _PLAIN
-
-
-def _transform_scaled_add(opcode: Opcode, a: SymVal, b: SymVal,
-                          shift: int) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(opcode, [a.const_value, b.const_value])
-    if a.is_const:
-        # (const << k) + sym  ->  sym + (const << k)
-        return _rewritten(symbolic.add_const(
-            b, alu.to_signed64(a.const_value << shift)))
-    if b.is_const:
-        shifted = symbolic.shift_left(a, shift)
-        if shifted is not None:
-            return _rewritten(symbolic.add_const(shifted, b.const_value))
-    return _PLAIN
-
-
-def _transform_shift_left(a: SymVal, b: SymVal) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(Opcode.SLL, [a.const_value, b.const_value])
-    if b.is_const:
-        shifted = symbolic.shift_left(a, b.const_value & 0x3F)
-        if shifted is not None:
-            return _rewritten(shifted)
-    return _PLAIN
-
-
-def _transform_multiply(a: SymVal, b: SymVal) -> Outcome:
-    """Strength reduction: multiply by a power of two becomes a shift."""
-    for multiplier, other in ((a, b), (b, a)):
-        if not multiplier.is_const:
-            continue
-        factor = multiplier.const_value
-        if factor == 0:
-            return Outcome(kind=Kind.EARLY, value=0, sym=symbolic.const(0),
-                           uses_alu=True, strength_reduced=True)
-        if factor == 1:
-            if other.is_const:
-                return Outcome(kind=Kind.EARLY, value=other.const_value,
-                               sym=other, uses_alu=True,
-                               strength_reduced=True)
-            return _rewritten(other, strength_reduced=True)
-        if factor > 1 and factor & (factor - 1) == 0:
-            shift = factor.bit_length() - 1
-            if other.is_const:
-                return _early(Opcode.SLL, [other.const_value, shift],
-                              strength_reduced=True)
-            shifted = symbolic.shift_left(other, shift)
-            if shifted is not None:
-                return _rewritten(shifted, strength_reduced=True)
-            # Still executable as a 1-cycle shift even though the
-            # result is not symbolically encodable.
-            return Outcome(kind=Kind.PLAIN, strength_reduced=True)
-    return _PLAIN
+    return TRANSFORM_BY_ID[OPCODE_ID[opcode]](
+        srcs[0], srcs[1] if len(srcs) > 1 else None)
 
 
 def resolve_branch(cond: BranchCond, src: SymVal) -> bool | None:
     """Early branch resolution: the outcome if the source is known."""
-    if not src.is_const:
+    if src[0] is not None:
         return None
-    return alu.branch_taken(cond, src.const_value)
+    return alu.COND_TESTS[cond](src[2])
 
 
 def branch_implied_value(opcode: Opcode, taken: bool) -> int | None:
@@ -211,8 +284,3 @@ def branch_implied_value(opcode: Opcode, taken: bool) -> int | None:
     if opcode is Opcode.BNE and not taken:
         return 0
     return None
-
-
-def is_simple(opcode: Opcode) -> bool:
-    """True if *opcode* is a single-cycle ('simple') operation."""
-    return spec_of(opcode).simple

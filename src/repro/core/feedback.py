@@ -24,9 +24,10 @@ class ValueFeedbackChannel:
     def __init__(self, prf: PhysRegFile, delay: int):
         self._prf = prf
         self._delay = delay
-        # (available_cycle, preg, version, value); completion events are
-        # processed in cycle order, so the deque stays sorted.
-        self._pending: deque[tuple[int, int, int, int]] = deque()
+        #: (available_cycle, preg, version, value); completion events
+        #: are processed in cycle order, so the deque stays sorted and
+        #: ``pending[0][0]`` is the next arrival.
+        self.pending: deque[tuple[int, int, int, int]] = deque()
         # preg -> (version, value)
         self._known: dict[int, tuple[int, int]] = {}
         self.values_fed_back = 0
@@ -38,12 +39,12 @@ class ValueFeedbackChannel:
 
     def publish(self, preg: int, value: int, cycle: int) -> None:
         """An execution unit produced *value* into *preg* at *cycle*."""
-        self._pending.append((cycle + self._delay, preg,
+        self.pending.append((cycle + self._delay, preg,
                               self._prf.version(preg), value))
 
     def drain(self, cycle: int) -> None:
         """Move arrived results into the known-value table."""
-        pending = self._pending
+        pending = self.pending
         prf = self._prf
         while pending and pending[0][0] <= cycle:
             _, preg, version, value = pending.popleft()

@@ -30,14 +30,26 @@ Physical-register lifetimes follow the reference-counting scheme
 (Section 3.1): RAT symbolic bases and MBC entries pin their registers,
 and the optimizer sheds that state under register pressure (dropping a
 hint is always safe).
+
+Everything that depends only on the static instruction is decoded once
+into a rename plan (:meth:`OptimizingRenamer.rename_plan`, called once
+per static instruction when the pipeline builds its decode table, and
+carried in ``DynInstr.plan``): the handler for the instruction's
+category, its source descriptors (immediates and the hardwired-zero
+registers pre-resolved to interned constant :class:`SymVal` values,
+other registers as architectural indices), the load/store displacement,
+base and data operands, the MBC eligibility, and the CP/RA transform
+from :data:`repro.core.cpra.TRANSFORM_BY_ID`.  Per dynamic instruction
+the optimizer only resolves register sources against its tables and
+applies the plan.
 """
 
 from __future__ import annotations
 
-from ..functional.alu import to_signed64
-from ..isa.instructions import Imm
-from ..isa.opcodes import (OP_COND, OP_SPEC_BY_ID, OPCODE_ID, OPCODES_BY_ID,
-                           QUEUE_INT, OpClass, Opcode)
+from ..functional.alu import COND_TESTS, to_signed64
+from ..isa.instructions import Imm, Instruction
+from ..isa.opcodes import (OP_COND, OP_SPEC_BY_ID, OPCODE_ID, QUEUE_INT,
+                           OpClass, Opcode)
 from ..isa.registers import NUM_INT_REGS, is_int_reg, is_zero_reg
 from ..uarch.config import MachineConfig
 from ..uarch.dyninstr import DynInstr
@@ -56,39 +68,14 @@ _INT_COND_BRANCHES = frozenset({
 _PENDING_INSERT = 0
 _PENDING_INVALIDATE = 1
 
-# Handler selection per opcode id, computed once: replaces the
-# enum/spec-attribute if-chain in the rename entry point with one
-# table lookup.  The arm order below mirrors the original chain, so
-# FP conditional branches (fbeq/fbne) and nop land on the plain path.
-_RK_BRANCH, _RK_JUMP, _RK_LOAD, _RK_STORE, _RK_INT_ALU, _RK_PLAIN = range(6)
+_EARLY = cpra.Kind.EARLY
+_REWRITTEN = cpra.Kind.REWRITTEN
+_PLAIN_KIND = cpra.Kind.PLAIN
+_ADD_ID = OPCODE_ID[Opcode.ADD]
 
-
-def _classify(opcode: Opcode) -> int:
-    spec = OP_SPEC_BY_ID[OPCODE_ID[opcode]]
-    if opcode in _INT_COND_BRANCHES:
-        return _RK_BRANCH
-    if spec.is_jump:
-        return _RK_JUMP
-    if spec.is_load:
-        return _RK_LOAD
-    if spec.is_store:
-        return _RK_STORE
-    if (spec.op_class in (OpClass.INT_SIMPLE, OpClass.INT_COMPLEX)
-            and opcode is not Opcode.NOP):
-        return _RK_INT_ALU
-    return _RK_PLAIN
-
-
-_RENAME_KIND = tuple(_classify(op) for op in OPCODES_BY_ID)
-_LDA_ID = OPCODE_ID[Opcode.LDA]
-_LDF_ID = OPCODE_ID[Opcode.LDF]
-_STF_ID = OPCODE_ID[Opcode.STF]
-_BR_ID = OPCODE_ID[Opcode.BR]
-_JSR_ID = OPCODE_ID[Opcode.JSR]
-
-#: Resolved expression for the hardwired-zero registers (shared tuple;
-#: ``_expr_of`` returns it without allocating).
-_ZERO_EXPR = (symbolic.ZERO, 0, 0)
+_const = symbolic.const
+_add_const = symbolic.add_const
+_fold = symbolic.fold
 
 
 class VerificationError(Exception):
@@ -108,20 +95,81 @@ class _OptEntry:
         self.mem_chain = 0
 
 
+class _Plan:
+    """Rename plan of one static instruction.
+
+    ``handler`` is the category handler (an unbound
+    :class:`OptimizingRenamer` method taking ``(renamer, di, plan)``).
+    Source descriptors ``src_a``/``src_b`` are either an integer
+    architectural index (resolved per dynamic instruction against the
+    symbolic RAT) or an already-resolved constant :class:`SymVal`
+    (immediates, displacements, the hardwired-zero registers); None
+    means no such operand.  Fields a category does not use stay None.
+    """
+
+    __slots__ = ("handler", "src_a", "src_b", "transform", "disp", "mbc",
+                 "is_fp", "data_int", "cond_test", "implied", "link")
+
+    def __init__(self, handler, src_a=None, src_b=None, transform=None,
+                 disp: int = 0, mbc: bool = False, is_fp: bool = False,
+                 data_int: bool = False, cond_test=None, implied=None,
+                 link: int | None = None):
+        self.handler = handler
+        self.src_a = src_a
+        self.src_b = src_b
+        self.transform = transform
+        self.disp = disp
+        #: The instruction reads or writes the MBC (RLE/SF eligible).
+        self.mbc = mbc
+        self.is_fp = is_fp
+        #: Store: the data operand is an integer register.
+        self.data_int = data_int
+        #: Conditional branch: the condition test on a known value.
+        self.cond_test = cond_test
+        #: Conditional branch: the value the direction implies for the
+        #: condition register, indexed by ``taken`` (0/1), or None.
+        self.implied = implied
+        #: ``jsr``: the link (return-address) value.
+        self.link = link
+
+
+def _src_desc(src) -> int | SymVal:
+    """Descriptor of one integer source operand (see :class:`_Plan`)."""
+    if type(src) is Imm:
+        return _const(src.value)
+    if is_zero_reg(src.index):
+        return symbolic.ZERO
+    return src.index
+
+
 class OptimizingRenamer(BaselineRenamer):
     """Rename stage with the continuous optimizer installed."""
 
     def __init__(self, prf: PhysRegFile, config: MachineConfig):
         super().__init__(prf)
         self._config = config
-        self._ocfg = config.optimizer
-        self.feedback = ValueFeedbackChannel(prf, self._ocfg.vf_delay)
-        self.mbc = MemoryBypassCache(self._ocfg.mbc_entries, prf)
+        ocfg = self._ocfg = config.optimizer
+        # Optimizer-config flags, read on every renamed instruction.
+        self._enable_opt = ocfg.enable_opt
+        self._enable_feedback = ocfg.enable_feedback
+        self._mbc_on = ocfg.enable_opt and ocfg.enable_rle_sf
+        self._add_depth = ocfg.add_depth
+        self._mem_depth = ocfg.mem_depth
+        self._verify_on = ocfg.verify
+        self.feedback = ValueFeedbackChannel(prf, ocfg.vf_delay)
+        self._fb_pending = self.feedback.pending
+        self._fb_lookup = self.feedback.lookup
+        self.mbc = MemoryBypassCache(ocfg.mbc_entries, prf)
+        # Interned plain symbolic value per physical register.
+        self._plain = tuple(symbolic.plain(preg)
+                            for preg in range(prf.num_regs))
         # Pending MBC writes: applied at the next bundle boundary so no
         # dependence within a rename packet is satisfied by RLE/SF
         # (Section 3.2).  Each pending insert holds a register
         # reference so the base cannot be recycled before commit.
-        self._mbc_pending: list[tuple[int, int, int, SymVal | None, int]] = []
+        # Entries are (kind, addr, size, sym, expected, is_fp).
+        self._mbc_pending: list[tuple[int, int, int, SymVal | None,
+                                      int | float, bool]] = []
         self._pending_refs: list[int] = []
         self._bundle_id = 0
         # Symbolic state per integer architectural register; starts as
@@ -141,12 +189,80 @@ class OptimizingRenamer(BaselineRenamer):
         self.stat_depth_rejections = 0
 
     # ==================================================================
+    # static decode
+    # ==================================================================
+
+    def rename_plan(self, instr: Instruction) -> _Plan:
+        """Decode *instr* once into its :class:`_Plan`."""
+        opcode = instr.opcode
+        op = OPCODE_ID[opcode]
+        spec = OP_SPEC_BY_ID[op]
+        srcs = instr.srcs
+        if opcode in _INT_COND_BRANCHES:
+            cond_reg = _src_desc(srcs[0])
+            implied = None
+            if self._enable_opt and type(cond_reg) is int:
+                implied = (cpra.branch_implied_value(opcode, False),
+                           cpra.branch_implied_value(opcode, True))
+                if implied == (None, None):
+                    implied = None
+            return _Plan(OptimizingRenamer._rename_branch, src_a=cond_reg,
+                         cond_test=COND_TESTS[OP_COND[op]],
+                         implied=implied)
+        if spec.is_jump:
+            if opcode is Opcode.BR:
+                return _Plan(OptimizingRenamer._rename_br)
+            if opcode is Opcode.JSR:
+                return _Plan(OptimizingRenamer._rename_jsr,
+                             link=instr.pc + 4)
+            # ret / jmp: indirect through an integer register.
+            return _Plan(OptimizingRenamer._rename_indirect,
+                         src_a=_src_desc(srcs[0]))
+        if spec.is_load:
+            dst = instr.dst
+            is_fp = opcode is Opcode.LDF
+            mbc = (self._mbc_on and dst is not None
+                   and not is_zero_reg(dst) and (is_fp or is_int_reg(dst)))
+            return _Plan(OptimizingRenamer._rename_load,
+                         src_a=_src_desc(srcs[0]), disp=instr.disp,
+                         mbc=mbc, is_fp=is_fp)
+        if spec.is_store:
+            data = srcs[0].index
+            data_int = is_int_reg(data)
+            if data_int:
+                data_desc = _src_desc(srcs[0])
+            else:
+                data_desc = None if is_zero_reg(data) else data
+            return _Plan(OptimizingRenamer._rename_store, src_a=data_desc,
+                         src_b=_src_desc(srcs[1]), disp=instr.disp,
+                         mbc=self._mbc_on, is_fp=opcode is Opcode.STF,
+                         data_int=data_int)
+        if (spec.op_class in (OpClass.INT_SIMPLE, OpClass.INT_COMPLEX)
+                and opcode is not Opcode.NOP):
+            if len(srcs) > 2:
+                raise ValueError(f"too many sources for CP/RA: {instr}")
+            descs = [_src_desc(src) for src in srcs] + [None, None]
+            if opcode is Opcode.LDA:
+                # lda is presented to CP/RA as an add of the
+                # displacement.
+                return _Plan(OptimizingRenamer._rename_int_alu,
+                             src_a=descs[0], src_b=_const(instr.disp),
+                             transform=cpra.TRANSFORM_BY_ID[_ADD_ID])
+            return _Plan(OptimizingRenamer._rename_int_alu,
+                         src_a=descs[0], src_b=descs[1],
+                         transform=cpra.TRANSFORM_BY_ID[op])
+        # FP operations, FP branches, nop: plain rename.
+        return _Plan(OptimizingRenamer._rename_plain)
+
+    # ==================================================================
     # bundle boundary
     # ==================================================================
 
     def begin_bundle(self, cycle: int) -> None:
-        if self._ocfg.enable_feedback:
-            self.feedback.drain(cycle)
+        if self._enable_feedback:
+            pending = self._fb_pending
+            if pending and pending[0][0] <= cycle:
+                self.feedback.drain(cycle)
         if self._mbc_pending:
             for kind, addr, size, sym, expected, is_fp in self._mbc_pending:
                 if kind == _PENDING_INSERT:
@@ -164,64 +280,35 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def rename(self, di: DynInstr, cycle: int) -> None:
-        dst = di.instr.dst
-        if (dst is not None and not is_zero_reg(dst)
-                and not self._prf.can_allocate()):
+        if di.dst_arch >= 0 and not self._prf.can_allocate():
             raise OutOfRegisters("no free physical registers")
         di.rename_cycle = cycle
-
-        kind = _RENAME_KIND[di.op]
-        if kind == _RK_INT_ALU:
-            self._rename_int_alu(di)
-        elif kind == _RK_LOAD:
-            self._rename_load(di)
-        elif kind == _RK_BRANCH:
-            self._rename_branch(di)
-        elif kind == _RK_STORE:
-            self._rename_store(di)
-        elif kind == _RK_JUMP:
-            self._rename_jump(di)
-        else:
-            # FP operations, FP branches, nop: plain rename.
-            self._rename_plain(di)
+        plan = di.plan
+        if plan is None:  # built outside a pipeline's decode table
+            plan = di.plan = self.rename_plan(di.instr)
+        plan.handler(self, di, plan)
 
     # ------------------------------------------------------------------
     # source resolution
     # ------------------------------------------------------------------
 
     def _expr_of(self, arch: int) -> tuple[SymVal, int, int]:
-        """Resolved symbolic value + intra-bundle depth tags of *arch*."""
-        if is_zero_reg(arch):
-            return _ZERO_EXPR
+        """Resolved symbolic value + intra-bundle depth tags of *arch*.
+
+        *arch* is a non-zero integer register (the hardwired zeros are
+        pre-resolved constants in the rename plan).
+        """
         entry = self._entries[arch]
         sym = entry.sym
-        if sym[0] is not None and self._ocfg.enable_feedback:
-            known = self.feedback.lookup(sym[0])
+        base = sym[0]
+        if base is not None and self._enable_feedback:
+            known = self._fb_lookup(base)
             if known is not None:
-                folded = symbolic.fold(sym, known)
-                self._set_entry_sym(arch, folded)
-                sym = folded
+                sym = _fold(sym, known)
+                self._set_entry_sym(arch, sym)
         if entry.bundle_id == self._bundle_id:
             return sym, entry.add_depth, entry.mem_chain
         return sym, 0, 0
-
-    def _source_exprs(self, di: DynInstr) -> tuple[list[SymVal], int, int]:
-        """Resolve all sources; returns (exprs, max_depth, max_mem_chain)."""
-        exprs: list[SymVal] = []
-        depth = 0
-        mem_chain = 0
-        expr_of = self._expr_of
-        for src in di.instr.srcs:
-            if type(src) is Imm:
-                exprs.append(symbolic.const(src.value))
-                continue
-            sym, src_depth, src_chain = expr_of(src.index)
-            exprs.append(sym)
-            if src_depth > depth:
-                depth = src_depth
-            if src_chain > mem_chain:
-                mem_chain = src_chain
-        return exprs, depth, mem_chain
 
     # ------------------------------------------------------------------
     # RAT symbolic-state updates
@@ -231,11 +318,11 @@ class OptimizingRenamer(BaselineRenamer):
                        add_depth: int = 0, mem_chain: int = 0) -> None:
         """Replace the symbolic value of *arch*, managing base pins."""
         entry = self._entries[arch]
-        mapping = self.rat.lookup(arch)
+        base = sym[0]
         new_ref: int | None = None
-        if sym.base is not None and sym.base != mapping:
-            self._prf.add_ref(sym.base)
-            new_ref = sym.base
+        if base is not None and base != self._rat_map[arch]:
+            self._prf.add_ref(base)
+            new_ref = base
         if entry.sym_ref is not None:
             self._prf.release(entry.sym_ref)
         entry.sym = sym
@@ -252,33 +339,34 @@ class OptimizingRenamer(BaselineRenamer):
     def _allocate_dst(self, di: DynInstr, sym: SymVal | None,
                       add_depth: int = 0, mem_chain: int = 0) -> int | None:
         """Allocate the destination register and install its new state."""
-        instr = di.instr
-        if instr.dst is None or is_zero_reg(instr.dst):
+        dst = di.dst_arch
+        if dst < 0:
             return None
         new_preg = self._prf.allocate()
-        di.prev_preg = self.rat.remap(instr.dst, new_preg)
+        rat_map = self._rat_map
+        di.prev_preg = rat_map[dst]
+        rat_map[dst] = new_preg
         di.dst_preg = new_preg
-        if is_int_reg(instr.dst):
-            if sym is None or not self._ocfg.enable_opt:
-                sym = symbolic.plain(new_preg)
+        if dst < NUM_INT_REGS:
+            if sym is None or not self._enable_opt:
+                sym = self._plain[new_preg]
                 add_depth = 0
                 mem_chain = 0
-            self._set_entry_sym(instr.dst, sym, add_depth, mem_chain)
+            self._set_entry_sym(dst, sym, add_depth, mem_chain)
         return new_preg
 
     def _take_deps(self, di: DynInstr, pregs: list[int]) -> None:
+        add_ref = self._prf.add_ref
         for preg in pregs:
-            self._prf.add_ref(preg)
+            add_ref(preg)
         di.src_pregs = tuple(pregs)
 
-    def _mapping_deps(self, di: DynInstr) -> list[int]:
-        """Physical mappings of all register sources (the plain path)."""
-        deps = []
-        for arch in di.reg_srcs:
-            preg = self.rat.lookup(arch)
-            if preg is not None:
-                deps.append(preg)
-        return deps
+    def _take_mapping_deps(self, di: DynInstr) -> None:
+        """Depend on the physical mappings of all register sources."""
+        srcs = di.nz_srcs
+        if srcs:
+            rat_map = self._rat_map
+            self._take_deps(di, [rat_map[arch] for arch in srcs])
 
     # ------------------------------------------------------------------
     # verification (Section 4.2: strict expression and value checking)
@@ -286,7 +374,7 @@ class OptimizingRenamer(BaselineRenamer):
 
     def _verify(self, di: DynInstr, produced: int | float,
                 expected: int | float, what: str) -> None:
-        if not self._ocfg.verify:
+        if not self._verify_on or produced == expected:
             return
         if isinstance(produced, int) and isinstance(expected, int):
             produced = to_signed64(produced)
@@ -300,61 +388,76 @@ class OptimizingRenamer(BaselineRenamer):
     # instruction-category handlers
     # ==================================================================
 
-    def _rename_int_alu(self, di: DynInstr) -> None:
-        instr = di.instr
-        opcode = instr.opcode
-        exprs, depth, mem_chain = self._source_exprs(di)
-        if di.op == _LDA_ID:
-            opcode = Opcode.ADD
-            exprs = [exprs[0], symbolic.const(instr.disp)]
-        outcome = cpra.transform(opcode, exprs)
-        if outcome.uses_alu and depth > self._ocfg.add_depth:
+    def _rename_int_alu(self, di: DynInstr, plan: _Plan) -> None:
+        desc = plan.src_a
+        if type(desc) is int:
+            a, depth, mem_chain = self._expr_of(desc)
+        else:
+            a = desc
+            depth = mem_chain = 0
+        desc = plan.src_b
+        if type(desc) is int:
+            b, b_depth, b_chain = self._expr_of(desc)
+            if b_depth > depth:
+                depth = b_depth
+            if b_chain > mem_chain:
+                mem_chain = b_chain
+        else:
+            b = desc
+        kind, value, sym, uses_alu, reduced = plan.transform(a, b)
+        if uses_alu and depth > self._add_depth:
             # This transformation would chain one more serial addition
             # onto this cycle's optimizer ALUs than the hardware has.
             self.stat_depth_rejections += 1
-            outcome = cpra.Outcome(kind=cpra.Kind.PLAIN)
-        if not self._ocfg.enable_opt and not outcome.is_early:
+            kind = _PLAIN_KIND
+            reduced = False
+        elif kind is not _EARLY and not self._enable_opt:
             # Feedback-only mode: no symbolic rewriting.
-            outcome = cpra.Outcome(kind=cpra.Kind.PLAIN)
-        if outcome.strength_reduced:
+            kind = _PLAIN_KIND
+            reduced = False
+        if reduced:
             self.stat_strength_reductions += 1
             di.sched_class = OpClass.INT_SIMPLE
             di.queue_idx = QUEUE_INT
-        if outcome.is_early:
-            self._verify(di, outcome.value, di.result, "early value")
+        if kind is _EARLY:
+            self._verify(di, value, di.result, "early value")
             di.early = True
-            di.early_value = outcome.value
+            di.early_value = value
             self.stat_early += 1
-            new_depth = depth + 1 if outcome.uses_alu else depth
-            dst = self._allocate_dst(di, outcome.sym, add_depth=new_depth,
-                                     mem_chain=mem_chain)
-            if dst is not None and self._ocfg.enable_opt:
+            dst = self._allocate_dst(
+                di, sym, depth + 1 if uses_alu else depth, mem_chain)
+            if dst is not None and self._enable_opt:
                 # Recording the computed value is constant propagation;
                 # in feedback-only mode (Figure 9) the result instead
                 # returns through the normal delayed feedback path.
-                self.feedback.record_known(dst, outcome.value)
+                self.feedback.record_known(dst, value)
             return
-        if outcome.is_rewritten:
+        if kind is _REWRITTEN:
             self.stat_rewritten += 1
-            sym = outcome.sym
-            new_depth = depth + 1 if outcome.uses_alu else depth
-            deps = [] if sym.base is None else [sym.base]
-            self._take_deps(di, deps)
-            self._allocate_dst(di, sym, add_depth=new_depth,
-                               mem_chain=mem_chain)
+            base = sym[0]
+            if base is not None:
+                self._prf.add_ref(base)
+                di.src_pregs = (base,)
+            else:
+                di.src_pregs = ()
+            self._allocate_dst(di, sym, depth + 1 if uses_alu else depth,
+                               mem_chain)
             return
-        self._take_deps(di, self._mapping_deps(di))
+        self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
-    def _rename_branch(self, di: DynInstr) -> None:
-        instr = di.instr
-        cond_reg = instr.srcs[0].index
-        sym, depth, _ = self._expr_of(cond_reg)
-        taken = cpra.resolve_branch(OP_COND[di.op], sym)
+    def _rename_branch(self, di: DynInstr, plan: _Plan) -> None:
+        desc = plan.src_a
+        if type(desc) is int:
+            sym, depth, _ = self._expr_of(desc)
+        else:
+            sym = desc
+            depth = 0
+        taken = None if sym[0] is not None else plan.cond_test(sym[2])
         # The branch test itself is zero-detect logic, not an adder, so
         # it may consume a value produced by this bundle's last allowed
         # addition level (hence the +1).
-        if taken is not None and depth <= self._ocfg.add_depth + 1:
+        if taken is not None and depth <= self._add_depth + 1:
             self._verify(di, int(taken), di.taken,
                          "early branch direction")
             di.early = True
@@ -362,82 +465,80 @@ class OptimizingRenamer(BaselineRenamer):
         else:
             if taken is not None:
                 self.stat_depth_rejections += 1
-            self._take_deps(di, self._mapping_deps(di))
-        if self._ocfg.enable_opt:
-            implied = cpra.branch_implied_value(instr.opcode,
-                                                di.taken == 1)
-            if implied is not None and not is_zero_reg(cond_reg):
-                current = self._entries[cond_reg].sym
-                if not current.is_const:
-                    self._set_entry_sym(cond_reg, symbolic.const(implied))
+            self._take_mapping_deps(di)
+        implied = plan.implied
+        if implied is not None:
+            implied = implied[di.taken == 1]
+            if implied is not None:
+                current = self._entries[desc].sym
+                if current[0] is not None:
+                    self._set_entry_sym(desc, _const(implied))
                     self.stat_branch_inferences += 1
 
-    def _rename_jump(self, di: DynInstr) -> None:
-        instr = di.instr
-        op = di.op
-        if op == _BR_ID:
-            di.early = True
-            self.stat_early += 1
-            return
-        if op == _JSR_ID:
-            # The link value is a decode-time constant.
-            return_pc = instr.pc + 4
-            self._verify(di, return_pc, di.result, "jsr link value")
-            di.early = True
-            self.stat_early += 1
-            sym = symbolic.const(return_pc) if self._ocfg.enable_opt else None
-            dst = self._allocate_dst(di, sym)
-            if dst is not None and self._ocfg.enable_opt:
-                self.feedback.record_known(dst, return_pc)
-            return
-        # ret / jmp: indirect through an integer register.
-        target_reg = instr.srcs[0].index
-        sym, depth, _ = self._expr_of(target_reg)
-        if sym.is_const and depth <= self._ocfg.add_depth + 1:
-            self._verify(di, sym.const_value, di.next_pc,
-                         "early indirect target")
-            di.early = True
-            self.stat_early += 1
-            return
-        self._take_deps(di, self._mapping_deps(di))
+    def _rename_br(self, di: DynInstr, plan: _Plan) -> None:
+        di.early = True
+        self.stat_early += 1
 
-    def _rename_load(self, di: DynInstr) -> None:
-        instr = di.instr
-        base_reg = instr.srcs[0].index
-        base_sym, depth, mem_chain = self._expr_of(base_reg)
-        addr_sym = symbolic.add_const(base_sym, instr.disp)
-        addr_usable = (depth <= self._ocfg.add_depth
-                       and mem_chain <= self._ocfg.mem_depth)
-        if addr_sym.is_const and addr_usable:
-            self._verify(di, addr_sym.const_value, di.addr,
+    def _rename_jsr(self, di: DynInstr, plan: _Plan) -> None:
+        # The link value is a decode-time constant.
+        return_pc = plan.link
+        self._verify(di, return_pc, di.result, "jsr link value")
+        di.early = True
+        self.stat_early += 1
+        dst = self._allocate_dst(di, _const(return_pc))
+        if dst is not None and self._enable_opt:
+            self.feedback.record_known(dst, return_pc)
+
+    def _rename_indirect(self, di: DynInstr, plan: _Plan) -> None:
+        desc = plan.src_a
+        if type(desc) is int:
+            sym, depth, _ = self._expr_of(desc)
+        else:
+            sym = desc
+            depth = 0
+        if sym[0] is None and depth <= self._add_depth + 1:
+            self._verify(di, sym[2], di.next_pc, "early indirect target")
+            di.early = True
+            self.stat_early += 1
+            return
+        self._take_mapping_deps(di)
+
+    def _rename_load(self, di: DynInstr, plan: _Plan) -> None:
+        desc = plan.src_a
+        if type(desc) is int:
+            base_sym, depth, mem_chain = self._expr_of(desc)
+        else:
+            base_sym = desc
+            depth = mem_chain = 0
+        base = base_sym[0]
+        if (base is None and depth <= self._add_depth
+                and mem_chain <= self._mem_depth):
+            self._verify(di, _add_const(base_sym, plan.disp)[2], di.addr,
                          "rename-time load address")
             di.addr_known = True
-            is_fp_load = di.op == _LDF_ID
-            eligible = (self._ocfg.enable_opt and self._ocfg.enable_rle_sf
-                        and instr.dst is not None
-                        and not is_zero_reg(instr.dst)
-                        and (is_fp_load or is_int_reg(instr.dst)))
-            if eligible:
-                bypassed = (self._try_bypass_fp_load(di) if is_fp_load
-                            else self._try_bypass_load(di))
-                if bypassed:
+            if plan.mbc:
+                if plan.is_fp:
+                    if self._try_bypass_fp_load(di):
+                        return
+                elif self._try_bypass_load(di):
                     return
-            # MBC miss (or not eligible): install this load's
-            # destination for future redundant-load elimination.
-            dst = self._allocate_dst(di, None)
-            if eligible and dst is not None:
-                expected = (float(di.result) if is_fp_load
+                # MBC miss: install this load's destination for future
+                # redundant-load elimination.
+                dst = self._allocate_dst(di, None)
+                expected = (float(di.result) if plan.is_fp
                             else int(di.result))
-                self._pend_insert(di.addr, di.mem_size,
-                                  symbolic.plain(dst), expected,
-                                  is_fp=is_fp_load)
+                self._pend_insert(di.addr, di.mem_size, self._plain[dst],
+                                  expected, is_fp=plan.is_fp)
+                return
+            self._allocate_dst(di, None)
             return
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
-        if self._ocfg.enable_opt and addr_sym.base is not None:
-            self._take_deps(di, [addr_sym.base])
+        if self._enable_opt and base is not None:
+            self._prf.add_ref(base)
+            di.src_pregs = (base,)
         else:
-            self._take_deps(di, self._mapping_deps(di))
+            self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
     def _try_bypass_load(self, di: DynInstr) -> bool:
@@ -456,35 +557,34 @@ class OptimizingRenamer(BaselineRenamer):
             di.misspec_flush = True
             return False
         sym = line.sym
-        if not sym.is_const and self._ocfg.enable_feedback:
-            known = self.feedback.lookup(sym.base)
+        if sym[0] is not None and self._enable_feedback:
+            known = self._fb_lookup(sym[0])
             if known is not None:
-                sym = symbolic.fold(sym, known)
+                sym = _fold(sym, known)
         di.removed_load = True
-        if sym.is_const:
-            self._verify(di, sym.const_value, di.result,
-                         "forwarded load value")
+        if sym[0] is None:
+            self._verify(di, sym[2], di.result, "forwarded load value")
             di.early = True
-            di.early_value = sym.const_value
+            di.early_value = sym[2]
             self.stat_early += 1
             dst = self._allocate_dst(di, sym, mem_chain=1)
             if dst is not None:
-                self.feedback.record_known(dst, sym.const_value)
+                self.feedback.record_known(dst, sym[2])
             return True
         if sym.is_plain:
             # The move is optimized away entirely via physical register
             # reuse (the paper's citation [15], Jourdan et al.): the
             # destination architectural register is remapped onto the
             # previous memory operation's register.  No execution at all.
-            self._remap_to_existing(di, sym.base)
-            self._set_entry_sym(di.instr.dst, symbolic.plain(sym.base),
+            self._remap_to_existing(di, sym[0])
+            self._set_entry_sym(di.dst_arch, self._plain[sym[0]],
                                 mem_chain=1)
             return True
         # Offset/scaled forward: becomes a single-cycle move computing
         # (base << scale) + offset on a simple ALU.
         di.sched_class = OpClass.INT_SIMPLE
         di.queue_idx = QUEUE_INT
-        self._take_deps(di, [sym.base])
+        self._take_deps(di, [sym[0]])
         self._allocate_dst(di, sym, mem_chain=1)
         return True
 
@@ -493,7 +593,7 @@ class OptimizingRenamer(BaselineRenamer):
         di.early = True
         self.stat_early += 1
         self._prf.add_ref(preg)  # the new architectural-mapping reference
-        di.prev_preg = self.rat.remap(di.instr.dst, preg)
+        di.prev_preg = self.rat.remap(di.dst_arch, preg)
         di.dst_preg = None
 
     def _try_bypass_fp_load(self, di: DynInstr) -> bool:
@@ -519,74 +619,77 @@ class OptimizingRenamer(BaselineRenamer):
         self._remap_to_existing(di, line.sym.base)
         return True
 
-    def _rename_store(self, di: DynInstr) -> None:
-        instr = di.instr
-        base_reg = instr.srcs[1].index
-        base_sym, depth, mem_chain = self._expr_of(base_reg)
-        addr_sym = symbolic.add_const(base_sym, instr.disp)
-        addr_usable = (depth <= self._ocfg.add_depth
-                       and mem_chain <= self._ocfg.mem_depth)
+    def _rename_store(self, di: DynInstr, plan: _Plan) -> None:
+        desc = plan.src_b
+        if type(desc) is int:
+            base_sym, depth, mem_chain = self._expr_of(desc)
+        else:
+            base_sym = desc
+            depth = mem_chain = 0
+        rat_map = self._rat_map
         deps: list[int] = []
-        if addr_sym.is_const and addr_usable:
-            self._verify(di, addr_sym.const_value, di.addr,
+        base = base_sym[0]
+        if (base is None and depth <= self._add_depth
+                and mem_chain <= self._mem_depth):
+            self._verify(di, _add_const(base_sym, plan.disp)[2], di.addr,
                          "rename-time store address")
             di.addr_known = True
-        elif self._ocfg.enable_opt and addr_sym.base is not None:
-            deps.append(addr_sym.base)
-        else:
-            mapping = self.rat.lookup(base_reg)
-            if mapping is not None:
-                deps.append(mapping)
+        elif self._enable_opt and base is not None:
+            deps.append(base)
+        elif type(desc) is int:
+            deps.append(rat_map[desc])
         # Data operand: forwarded symbolically into the MBC, but the
         # store unit itself reads the plain physical register unless
         # the data is a known constant.
-        data_src = instr.srcs[0]
+        data = plan.src_a
         data_sym: SymVal | None = None
-        if is_int_reg(data_src.index):
-            data_sym, _, _ = self._expr_of(data_src.index)
-            if not data_sym.is_const:
-                mapping = self.rat.lookup(data_src.index)
-                if mapping is not None:
-                    deps.append(mapping)
-        else:
-            mapping = self.rat.lookup(data_src.index)
-            if mapping is not None:
-                deps.append(mapping)
+        if plan.data_int:
+            if type(data) is int:
+                data_sym, _, _ = self._expr_of(data)
+                if data_sym[0] is not None:
+                    deps.append(rat_map[data])
+            else:
+                data_sym = data
+        elif data is not None:
+            deps.append(rat_map[data])
         self._take_deps(di, deps)
-        if (di.addr_known and self._ocfg.enable_opt
-                and self._ocfg.enable_rle_sf):
+        if di.addr_known and plan.mbc:
             # The emulator records a store's data value as the row's
             # result, so ``di.result`` is the store value.
-            if di.op == _STF_ID:
+            if plan.is_fp:
                 # FP store forwarding: record the data register so a
-                # later FP load becomes a register move.
-                mapping = self.rat.lookup(data_src.index)
-                self._pend_insert(di.addr, di.mem_size,
-                                  symbolic.plain(mapping),
-                                  float(di.result), is_fp=True)
-                return
+                # later FP load becomes a register move.  A hardwired
+                # zero has no physical register to forward, so the
+                # location is invalidated instead.
+                mapping = rat_map[data] if type(data) is int else None
+                if mapping is not None:
+                    self._pend_insert(di.addr, di.mem_size,
+                                      self._plain[mapping],
+                                      float(di.result), is_fp=True)
+                    return
+                data_sym = None
             if data_sym is None:
                 self._mbc_pending.append(
                     (_PENDING_INVALIDATE, di.addr, di.mem_size,
                      None, 0, False))
                 return
-            if data_sym.is_const:
-                self._verify(di, data_sym.const_value,
-                             int(di.result),
+            expected = int(di.result)
+            if data_sym[0] is None:
+                self._verify(di, data_sym[2], expected,
                              "store-forward data value")
-            self._pend_insert(di.addr, di.mem_size, data_sym,
-                              int(di.result))
+            self._pend_insert(di.addr, di.mem_size, data_sym, expected)
 
     def _pend_insert(self, addr: int, size: int, sym: SymVal,
                      expected: int | float, is_fp: bool = False) -> None:
         self._mbc_pending.append(
             (_PENDING_INSERT, addr, size, sym, expected, is_fp))
-        if sym.base is not None:
-            self._prf.add_ref(sym.base)
-            self._pending_refs.append(sym.base)
+        base = sym[0]
+        if base is not None:
+            self._prf.add_ref(base)
+            self._pending_refs.append(base)
 
-    def _rename_plain(self, di: DynInstr) -> None:
-        self._take_deps(di, self._mapping_deps(di))
+    def _rename_plain(self, di: DynInstr, plan: _Plan) -> None:
+        self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -594,18 +697,18 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        for preg in di.src_pregs:
-            self._prf.release(preg)
-        if di.dst_preg is None or not self._ocfg.enable_feedback:
+        prf = self._prf
+        prf.release_all(di.src_pregs)
+        dst_preg = di.dst_preg
+        if dst_preg is None or not self._enable_feedback:
             return
         result = di.result
-        if (isinstance(result, int) and is_int_reg(di.instr.dst)
-                and self._prf.is_live(di.dst_preg)):
-            self.feedback.publish(di.dst_preg, to_signed64(result), cycle)
+        if (isinstance(result, int) and di.dst_arch < NUM_INT_REGS
+                and prf.is_live(dst_preg)):
+            self.feedback.publish(dst_preg, to_signed64(result), cycle)
 
     def on_store_executed(self, di: DynInstr) -> None:
-        if (di.addr_known and self._ocfg.enable_opt
-                and self._ocfg.enable_rle_sf):
+        if di.addr_known and self._mbc_on:
             # The MBC was already updated with this store at rename.
             return
         self.mbc.invalidate_overlap(di.addr, di.mem_size)

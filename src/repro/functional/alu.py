@@ -18,7 +18,7 @@ the signed range ``[-2**63, 2**63 - 1]``.
 
 from __future__ import annotations
 
-from ..isa.opcodes import BranchCond, Opcode
+from ..isa.opcodes import OPCODE_ID, OPCODES_BY_ID, BranchCond, Opcode
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
@@ -142,17 +142,32 @@ COND_TESTS = {
 }
 
 
-def evaluate_int(opcode: Opcode, a: int, b: int = 0) -> int:
-    """Evaluate an integer opcode over signed 64-bit inputs."""
+def _int_eval(opcode: Opcode):
     op = _INT_OPS.get(opcode)
     if op is not None:
-        return op(a, b)
+        return op
     unary = _UNARY_INT_OPS.get(opcode)
     if unary is not None:
-        return unary(a)
+        return lambda a, b=0: unary(a)
     if opcode is Opcode.LDA:
-        return to_signed64(a + b)  # base + displacement
-    raise ValueError(f"not an integer ALU opcode: {opcode}")
+        return _INT_OPS[Opcode.ADD]  # base + displacement
+    return None
+
+
+#: Integer-ALU semantics per opcode id: a ``(a, b) -> int`` callable
+#: (unary operations ignore ``b``), or None for opcodes that are not
+#: integer ALU operations.  Hot callers index this by opcode id instead
+#: of hashing :class:`Opcode` members.
+INT_EVAL_BY_ID = tuple(_int_eval(opcode) for opcode in OPCODES_BY_ID)
+
+
+def evaluate_int(opcode: Opcode, a: int, b: int = 0) -> int:
+    """Evaluate an integer opcode over signed 64-bit inputs."""
+    op_id = OPCODE_ID.get(opcode)
+    op = None if op_id is None else INT_EVAL_BY_ID[op_id]
+    if op is None:
+        raise ValueError(f"not an integer ALU opcode: {opcode}")
+    return op(a, b)
 
 
 def evaluate_fp(opcode: Opcode, a: float, b: float = 0.0) -> float:
@@ -199,5 +214,5 @@ def branch_taken(cond: BranchCond, value: int | float) -> bool:
 
 def is_int_alu_op(opcode: Opcode) -> bool:
     """True if :func:`evaluate_int` can evaluate *opcode*."""
-    return (opcode in _INT_OPS or opcode in _UNARY_INT_OPS
-            or opcode is Opcode.LDA)
+    op_id = OPCODE_ID.get(opcode)
+    return op_id is not None and INT_EVAL_BY_ID[op_id] is not None

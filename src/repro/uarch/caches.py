@@ -51,6 +51,11 @@ class Cache:
         set_index, tag = self._locate(addr)
         return tag in self._sets[set_index]
 
+    @property
+    def line_shift(self) -> int:
+        """log2 of the line size: ``addr >> line_shift`` is the line."""
+        return self._line_shift
+
     def line_address(self, addr: int) -> int:
         """The line-aligned address containing *addr*."""
         return (addr >> self._line_shift) << self._line_shift

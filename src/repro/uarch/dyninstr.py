@@ -2,15 +2,27 @@
 
 A :class:`DynInstr` carries everything the pipeline tracks about one
 dynamic instruction: the oracle values copied straight out of the
-packed trace columns (seq, pc, opcode id, result, effective address,
-branch outcome, next pc), physical register operands after
-rename/optimization, scheduler routing, readiness bookkeeping, the
-optimizer outcome flags (early execution, removed load, known
-address), and the cycle timestamps used to compute latencies.
+packed trace columns (seq, pc, result, effective address, branch
+outcome, next pc), the static fields decoded once per static
+instruction, physical register operands after rename/optimization,
+scheduler routing, readiness bookkeeping, the optimizer outcome flags
+(early execution, removed load, known address), and the cycle
+timestamps used to compute latencies.
 
-The hot stages read the direct fields — ``op`` (small-integer opcode
-id, indexing the flat tables in :mod:`repro.isa.opcodes`), ``result``,
-``addr``, ``taken`` — and never materialize a
+**Static decode.**  Everything that depends only on the static
+instruction — the small-integer opcode id ``op`` (indexing the flat
+tables in :mod:`repro.isa.opcodes`), memory size, load/store/control
+flags, scheduler class and queue, the destination (``dst_arch``: the
+architectural index, or ``-1`` for none and for the hardwired-zero
+registers), the non-zero register sources ``nz_srcs``, and the
+renamer's per-static ``plan`` — is computed by :func:`decode_static`
+once per static instruction.  The pipeline builds one
+:func:`decode_table` per run, indexed like ``PackedTrace.iidx``, and
+:meth:`DynInstr.from_packed` fills all static fields from its row with
+one tuple unpack; the entry-based constructor runs the same
+:func:`decode_static`, so the two constructors cannot drift.
+
+The hot stages read the direct fields and never materialize a
 :class:`~repro.functional.trace.TraceEntry`.  The :attr:`entry` view
 is still available (built lazily from the packed trace row) for
 diagnostics and for callers that predate the packed format.
@@ -21,10 +33,47 @@ Field conventions: ``addr`` is ``-1`` for non-memory instructions;
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..functional.trace import NO_ADDR, NO_TAKEN, PackedTrace, TraceEntry
+from ..isa.instructions import Instruction
 from ..isa.opcodes import (OP_CLASS_BY_ID, OP_IS_CONTROL, OP_IS_LOAD,
-                           OP_IS_STORE, OP_MEM_SIZE, OP_QUEUE, OPCODE_ID,
-                           OpClass)
+                           OP_IS_STORE, OP_MEM_SIZE, OP_QUEUE, OPCODE_ID)
+from ..isa.registers import is_zero_reg
+
+#: The :class:`DynInstr` slots filled by :func:`decode_static`, in the
+#: order of its tuple.
+STATIC_FIELDS = ("op", "instr", "reg_srcs", "mem_size", "is_load",
+                 "is_store", "is_control", "sched_class", "queue_idx",
+                 "dst_arch", "nz_srcs", "plan")
+
+
+def decode_static(instr: Instruction, plan: object = None) -> tuple:
+    """The static fields of *instr*, in :data:`STATIC_FIELDS` order.
+
+    *plan* is the installed renamer's per-static-instruction rename
+    plan (:meth:`~repro.uarch.rename.Renamer.rename_plan`), carried
+    through unchanged.
+    """
+    op = OPCODE_ID[instr.opcode]
+    dst = instr.dst
+    reg_srcs = instr.reg_sources()
+    return (op, instr, reg_srcs, OP_MEM_SIZE[op], OP_IS_LOAD[op],
+            OP_IS_STORE[op], OP_IS_CONTROL[op], OP_CLASS_BY_ID[op],
+            OP_QUEUE[op], -1 if dst is None or is_zero_reg(dst) else dst,
+            tuple(arch for arch in reg_srcs if not is_zero_reg(arch)),
+            plan)
+
+
+def decode_table(instrs: list[Instruction],
+                 rename_plan: Callable[[Instruction], object]
+                 ) -> list[tuple]:
+    """:func:`decode_static` of every static instruction, in order.
+
+    Indexed like ``PackedTrace.iidx``; costs O(static instructions)
+    and is built once per pipeline run.
+    """
+    return [decode_static(instr, rename_plan(instr)) for instr in instrs]
 
 
 class DynInstr:
@@ -35,7 +84,8 @@ class DynInstr:
         "seq", "pc", "op", "instr", "reg_srcs",
         "result", "addr", "taken", "next_pc", "mem_size",
         "is_load", "is_store", "is_control",
-        "sched_class", "queue_idx", "src_pregs", "dst_preg", "prev_preg",
+        "sched_class", "queue_idx", "dst_arch", "nz_srcs", "plan",
+        "src_pregs", "dst_preg", "prev_preg",
         "deps_remaining", "store_dep",
         "early", "early_value", "removed_load", "addr_known",
         "mispredicted", "early_resolved", "btb_bubble", "misspec_flush",
@@ -46,56 +96,46 @@ class DynInstr:
     def __init__(self, entry: TraceEntry, fetch_cycle: int):
         # Entry-based construction, kept for callers (and tests) that
         # build instructions from individual TraceEntry objects.  The
-        # pipeline's fetch stage uses :meth:`from_packed` instead.
+        # pipeline's fetch stage uses :meth:`from_packed` instead; both
+        # take their static fields from :func:`decode_static`.
         self._trace = None
         self._row = -1
         self._entry = entry
-        op = OPCODE_ID[entry.instr.opcode]
-        self.op = op
+        (self.op, self.instr, self.reg_srcs, self.mem_size, self.is_load,
+         self.is_store, self.is_control, self.sched_class, self.queue_idx,
+         self.dst_arch, self.nz_srcs, self.plan) = decode_static(entry.instr)
         self.seq = entry.seq
         self.pc = entry.pc
-        self.instr = entry.instr
-        self.reg_srcs = entry.instr.reg_sources()
         self.result = entry.result
         addr = entry.addr
         self.addr = NO_ADDR if addr is None else addr
         taken = entry.taken
         self.taken = NO_TAKEN if taken is None else (1 if taken else 0)
         self.next_pc = entry.next_pc
-        self.mem_size = OP_MEM_SIZE[op]
-        self.is_load = OP_IS_LOAD[op]
-        self.is_store = OP_IS_STORE[op]
-        self.is_control = OP_IS_CONTROL[op]
-        self.sched_class: OpClass = OP_CLASS_BY_ID[op]
-        self.queue_idx = OP_QUEUE[op]
         self.fetch_cycle = fetch_cycle
         self._init_pipeline_state()
 
     @classmethod
-    def from_packed(cls, trace: PackedTrace, row: int,
-                    fetch_cycle: int) -> "DynInstr":
-        """Build from one packed-trace row without materializing views."""
+    def from_packed(cls, trace: PackedTrace, row: int, fetch_cycle: int,
+                    statics: list[tuple]) -> "DynInstr":
+        """Build from one packed-trace row without materializing views.
+
+        *statics* is the run's :func:`decode_table` over
+        ``trace.instrs``.
+        """
         di = object.__new__(cls)
         di._trace = trace
         di._row = row
         di._entry = None
-        op = trace.ops[row]
-        di.op = op
+        (di.op, di.instr, di.reg_srcs, di.mem_size, di.is_load,
+         di.is_store, di.is_control, di.sched_class, di.queue_idx,
+         di.dst_arch, di.nz_srcs, di.plan) = statics[trace.iidx[row]]
         di.seq = trace.seqs[row]
         di.pc = trace.pcs[row]
-        iidx = trace.iidx[row]
-        di.instr = trace.instrs[iidx]
-        di.reg_srcs = trace.reg_srcs[iidx]
         di.result = trace.results[row]
         di.addr = trace.addrs[row]
         di.taken = trace.takens[row]
         di.next_pc = trace.next_pcs[row]
-        di.mem_size = OP_MEM_SIZE[op]
-        di.is_load = OP_IS_LOAD[op]
-        di.is_store = OP_IS_STORE[op]
-        di.is_control = OP_IS_CONTROL[op]
-        di.sched_class = OP_CLASS_BY_ID[op]
-        di.queue_idx = OP_QUEUE[op]
         di.fetch_cycle = fetch_cycle
         # Pipeline-state defaults, inlined from _init_pipeline_state —
         # this constructor runs once per fetched instruction.

@@ -15,6 +15,8 @@ documented in DESIGN.md):
   ``exec_latency`` cycles after the producer issues) from
   *completion* (architectural effects: branch redirects, value
   feedback, retirement eligibility — ``regread_stages`` later).
+  Instructions that finish at rename (early-executed, nop) get one
+  combined wakeup-and-completion event instead.
 * **Memory disambiguation** is oracle-based: true addresses identify
   the youngest in-flight older store that overlaps each load.  An
   exact-match store forwards its data; partial overlaps force the load
@@ -27,7 +29,12 @@ The pipeline consumes a packed
 :class:`~repro.functional.trace.PackedTrace` directly — the fetch
 stage walks the integer columns by row index and builds
 :class:`DynInstr` records via :meth:`DynInstr.from_packed`, never
-materializing per-entry objects.  Any other iterable of
+materializing per-entry objects.  Everything that depends only on the
+static instruction (opcode tables, destination, non-zero sources, the
+renamer's rename plan) is decoded once per static instruction into a
+per-run decode table (:func:`~repro.uarch.dyninstr.decode_table`,
+indexed like ``PackedTrace.iidx``), so fetch fills those fields with
+one tuple unpack per row.  Any other iterable of
 :class:`TraceEntry` (a list, a lazy stream) is packed up front by
 ``PackedTrace.from_entries``; the columns are a fraction of the size
 of the equivalent entry list, so materializing is cheap.
@@ -61,7 +68,7 @@ from ..isa.opcodes import OP_LATENCY, OPCODE_ID, Opcode, QUEUE_MEM
 from .branch_predictor import FrontEndPredictor
 from .caches import MemoryHierarchy
 from .config import MachineConfig
-from .dyninstr import DynInstr
+from .dyninstr import DynInstr, decode_table
 from .regfile import OutOfRegisters, PhysRegFile
 from .rename import BaselineRenamer, Renamer
 from .scheduler import SchedulerBank
@@ -71,6 +78,10 @@ _BLOCK_SHIFT = 3  # 8-byte blocks for memory-dependence tracking
 
 _EV_WAKEUP = 0
 _EV_COMPLETE = 1
+#: Wakeup and completion in one event, for instructions that finish at
+#: rename (early-executed or nop): both fire in the same cycle, and
+#: the pair was adjacent in ``(cycle, seq)`` heap order anyway.
+_EV_RENAMED = 2
 
 _NOP_ID = OPCODE_ID[Opcode.NOP]
 
@@ -99,6 +110,7 @@ class Pipeline:
         if renamer is None:
             renamer = BaselineRenamer(self.prf)
         self.renamer = renamer
+        self._statics = decode_table(trace.instrs, renamer.rename_plan)
         self.hierarchy = MemoryHierarchy(config.il1, config.dl1, config.l2,
                                          config.memory_latency)
         self.predictor = FrontEndPredictor(config.gshare_bits,
@@ -244,23 +256,22 @@ class Pipeline:
     # writeback: wakeup + completion events
     # ==================================================================
 
-    def _schedule(self, kind: int, cycle: int, di: DynInstr) -> None:
-        heapq.heappush(self._events, (cycle, di.seq, kind, di))
-
     def _writeback(self) -> None:
         events = self._events
         now = self.now
+        pop = heapq.heappop
         while events and events[0][0] <= now:
-            _, _, kind, di = heapq.heappop(events)
-            if kind == _EV_WAKEUP:
+            _, _, kind, di = pop(events)
+            if kind != _EV_COMPLETE:
                 self._do_wakeup(di)
-            else:
+            if kind != _EV_WAKEUP:
                 self._do_complete(di)
 
     def _do_wakeup(self, di: DynInstr) -> None:
-        if di.dst_preg is not None:
-            self.prf.mark_ready(di.dst_preg, di.result)
-            waiters = self._waiting_on_preg.pop(di.dst_preg, None)
+        dst_preg = di.dst_preg
+        if dst_preg is not None:
+            self.prf.mark_ready(dst_preg, di.result)
+            waiters = self._waiting_on_preg.pop(dst_preg, None)
             if waiters:
                 queues = self.sched.queues_by_idx
                 for waiter in waiters:
@@ -277,14 +288,15 @@ class Pipeline:
                         queues[waiter.queue_idx].ready += 1
 
     def _do_complete(self, di: DynInstr) -> None:
+        now = self.now
         di.completed = True
-        di.complete_cycle = self.now
-        self.renamer.on_complete(di, self.now)
+        di.complete_cycle = now
+        self.renamer.on_complete(di, now)
         if di.is_store:
             self.renamer.on_store_executed(di)
         if di is self._fetch_blocked_by:
             self._fetch_blocked_by = None
-            self._fetch_resume_cycle = self.now + self.config.redirect_penalty
+            self._fetch_resume_cycle = now + self.config.redirect_penalty
             if di.early_resolved:
                 self.stats.mispredicts_recovered_early += 1
 
@@ -301,17 +313,18 @@ class Pipeline:
         for di in self.sched.select_all():
             di.issue_cycle = now
             stats.issued += 1
-            latency = self._execution_latency(di)
+            if di.queue_idx != QUEUE_MEM:
+                # A removed load runs as a one-cycle register move.
+                latency = 1 if di.removed_load else OP_LATENCY[di.op]
+            else:
+                latency = self._memory_latency(di)
             di.exec_latency = latency
             seq = di.seq
             push(events, (now + latency, seq, _EV_WAKEUP, di))
             push(events, (now + regread + latency, seq, _EV_COMPLETE, di))
 
-    def _execution_latency(self, di: DynInstr) -> int:
-        if di.queue_idx != QUEUE_MEM:
-            if di.removed_load:
-                return 1  # load converted to a register move
-            return OP_LATENCY[di.op]
+    def _memory_latency(self, di: DynInstr) -> int:
+        """Execution latency of a memory-queue instruction."""
         agen = 0 if di.addr_known else 1
         if di.is_store:
             # Write-buffer semantics: touch the line, complete quickly.
@@ -356,7 +369,10 @@ class Pipeline:
         if src_pregs:
             is_ready = self.prf.is_ready
             waiting = self._waiting_on_preg
-            for preg in set(src_pregs):
+            # A register named twice is one dependence.
+            if len(src_pregs) > 1:
+                src_pregs = set(src_pregs)
+            for preg in src_pregs:
                 if not is_ready(preg):
                     deps += 1
                     waiting.setdefault(preg, []).append(di)
@@ -387,69 +403,66 @@ class Pipeline:
         if not frontend or frontend[0][0] > now:
             return
         renamer = self.renamer
+        rename = renamer.rename
         rob = self._rob
         dispatch_queue = self._dispatch_queue
         rob_size = config.rob_size
         dispatch_cap = self._dispatch_cap
+        stats = self.stats
+        width = config.rename_width
+        rename_done = now + config.effective_rename_stages
+        enter = rename_done + config.dispatch_stages
+        events = self._events
+        push = heapq.heappush
         renamed = 0
         began_bundle = False
-        while (renamed < config.rename_width and frontend
-               and frontend[0][0] <= now):
+        while renamed < width and frontend and frontend[0][0] <= now:
             if len(rob) >= rob_size:
-                self.stats.rename_stall_rob += 1
+                stats.rename_stall_rob += 1
                 break
             if len(dispatch_queue) >= dispatch_cap:
-                self.stats.rename_stall_dispatch += 1
+                stats.rename_stall_dispatch += 1
                 break
             di = frontend[0][1]
             if not began_bundle:
                 renamer.begin_bundle(now)
                 began_bundle = True
             try:
-                renamer.rename(di, now)
+                rename(di, now)
             except OutOfRegisters:
                 if renamer.relieve_pressure():
                     continue  # retry this instruction
-                self.stats.rename_stall_pregs += 1
+                stats.rename_stall_pregs += 1
                 break
             frontend.popleft()
             renamed += 1
             rob.append(di)
-            self._post_rename(di)
-
-    def _post_rename(self, di: DynInstr) -> None:
-        """Classify the renamed instruction and route it onward."""
-        config = self.config
-        stats = self.stats
-        rename_done = self.now + config.effective_rename_stages
-        if di.misspec_flush and self._fetch_blocked_by is None:
-            # An MBC speculative-staleness recovery: treat it like a
-            # mispredict — fetch is squashed until this load resolves.
-            self._fetch_blocked_by = di
-        if di.mem_size:
-            stats.mem_ops += 1
-            if di.addr_known:
-                stats.mem_addr_known += 1
-            if di.is_load:
-                stats.loads += 1
-                if di.removed_load:
-                    stats.loads_removed += 1
-            self._track_memory_dependence(di)
-        if di.early:
-            stats.early_executed += 1
-            if di.is_control:
-                stats.early_branches += 1
-            if di.mispredicted:
-                di.early_resolved = True
-            self._schedule(_EV_WAKEUP, rename_done, di)
-            self._schedule(_EV_COMPLETE, rename_done, di)
-            return
-        if di.op == _NOP_ID:
-            self._schedule(_EV_WAKEUP, rename_done, di)
-            self._schedule(_EV_COMPLETE, rename_done, di)
-            return
-        enter = rename_done + config.dispatch_stages
-        self._dispatch_queue.append((enter, di))
+            # Classify the renamed instruction and route it onward.
+            if di.misspec_flush and self._fetch_blocked_by is None:
+                # An MBC speculative-staleness recovery: treat it like
+                # a mispredict — fetch is squashed until this load
+                # resolves.
+                self._fetch_blocked_by = di
+            if di.mem_size:
+                stats.mem_ops += 1
+                if di.addr_known:
+                    stats.mem_addr_known += 1
+                if di.is_load:
+                    stats.loads += 1
+                    if di.removed_load:
+                        stats.loads_removed += 1
+                self._track_memory_dependence(di)
+            if di.early:
+                stats.early_executed += 1
+                if di.is_control:
+                    stats.early_branches += 1
+                if di.mispredicted:
+                    di.early_resolved = True
+                push(events, (rename_done, di.seq, _EV_RENAMED, di))
+            elif di.op == _NOP_ID:
+                push(events, (rename_done, di.seq, _EV_RENAMED, di))
+            else:
+                dispatch_queue.append((enter, di))
 
     def _track_memory_dependence(self, di: DynInstr) -> None:
         addr = di.addr
@@ -496,14 +509,14 @@ class Pipeline:
         cap = self._frontend_cap
         trace = self._trace
         pcs = trace.pcs
-        takens = trace.takens
         fetch_width = config.fetch_width
         block_mask = ~(fetch_width * 4 - 1)
         hierarchy = self.hierarchy
-        line_address = hierarchy.il1.line_address
+        line_shift = hierarchy.il1.line_shift
         il1_latency = config.il1.latency
         frontend_time = now + config.frontend_depth
         from_packed = DynInstr.from_packed
+        statics = self._statics
         fe_append = frontend.append
         fetched = 0
         block_start = -1
@@ -515,7 +528,7 @@ class Pipeline:
                 # Fetch delivers one aligned block per cycle; the next
                 # block starts next cycle.
                 break
-            line = line_address(pc)
+            line = pc >> line_shift
             if line != self._current_fetch_line:
                 latency = hierarchy.ifetch(pc)
                 self._current_fetch_line = line
@@ -523,13 +536,12 @@ class Pipeline:
                     # I-cache miss: this group ends; resume after fill.
                     self._fetch_resume_cycle = now + latency
                     break
-            di = from_packed(trace, row, now)
-            taken = takens[row]
+            di = from_packed(trace, row, now, statics)
             row += 1
             fe_append((frontend_time, di))
-            stats.fetched += 1
             fetched += 1
             if di.is_control:
+                taken = di.taken
                 mispredicted, bubble = self.predictor.predict_op(
                     di.op, di.instr, taken == 1, di.next_pc)
                 di.mispredicted = mispredicted
@@ -549,6 +561,7 @@ class Pipeline:
                     # the next group starts at the target next cycle.
                     self._current_fetch_line = -1
                     break
+        stats.fetched += fetched
         self._next_row = row
 
     # ==================================================================

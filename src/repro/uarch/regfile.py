@@ -86,6 +86,9 @@ class PhysRegFile:
     def release(self, preg: int) -> None:
         """Drop one reference; frees the register at zero."""
         count = self._refcount[preg] - 1
+        if count > 0:
+            self._refcount[preg] = count
+            return
         if count < 0:
             raise ValueError(f"release of already-free register p{preg}")
         self._refcount[preg] = count
@@ -94,6 +97,20 @@ class PhysRegFile:
             self._ready[preg] = False
             self._value[preg] = None
             self._free.append(preg)
+
+    def release_all(self, pregs) -> None:
+        """:meth:`release` each of *pregs* (one reference apiece).
+
+        A register that stays referenced only has its count
+        decremented; the last reference goes through :meth:`release`.
+        """
+        refcount = self._refcount
+        for preg in pregs:
+            count = refcount[preg]
+            if count > 1:
+                refcount[preg] = count - 1
+            else:
+                self.release(preg)
 
     def is_live(self, preg: int) -> bool:
         """True while *preg* holds at least one reference."""

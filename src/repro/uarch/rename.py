@@ -10,6 +10,7 @@ installed.
 
 from __future__ import annotations
 
+from ..isa.instructions import Instruction
 from ..isa.program import STACK_BASE
 from ..isa.registers import (NUM_ARCH_REGS, STACK_POINTER_REG, is_fp_reg,
                              is_zero_reg)
@@ -26,6 +27,16 @@ class Renamer:
     for the optimizer — the ``early``/``removed_load``/``addr_known``
     flags) and manage physical-register references.
     """
+
+    def rename_plan(self, instr: Instruction) -> object:
+        """Per-static-instruction state for :meth:`rename`, or None.
+
+        Called once per static instruction when the pipeline builds its
+        decode table; the result rides in every matching
+        ``DynInstr.plan``.  Instructions built outside a pipeline carry
+        ``plan=None``.
+        """
+        return None
 
     def begin_bundle(self, cycle: int) -> None:
         """Called once per cycle before the first rename of the cycle."""
@@ -85,38 +96,47 @@ class ArchRAT:
 
 
 class BaselineRenamer(Renamer):
-    """Plain rename with R10000-style free-at-overwriter-retire."""
+    """Plain rename with R10000-style free-at-overwriter-retire.
+
+    Reads the statically decoded ``dst_arch`` (``-1`` for none/zero)
+    and ``nz_srcs`` (register sources minus the hardwired zeros), so
+    renaming is one RAT read per source and one remap per destination.
+    """
 
     def __init__(self, prf: PhysRegFile):
         self._prf = prf
         self.rat = ArchRAT(prf)
+        self._rat_map = self.rat._map
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         prf = self._prf
-        instr = di.instr
-        if instr.dst is not None and not is_zero_reg(instr.dst):
-            # Check capacity before taking any references so a failed
-            # rename leaves no state behind.
-            if not prf.can_allocate():
-                raise OutOfRegisters("no free physical registers")
-        src_pregs = []
-        for arch in di.reg_srcs:
-            preg = self.rat.lookup(arch)
-            if preg is None:
-                continue  # zero register: always-ready constant
-            prf.add_ref(preg)
-            src_pregs.append(preg)
-        di.src_pregs = tuple(src_pregs)
-        if instr.dst is not None and not is_zero_reg(instr.dst):
+        dst = di.dst_arch
+        # Check capacity before taking any references so a failed
+        # rename leaves no state behind.
+        if dst >= 0 and not prf.can_allocate():
+            raise OutOfRegisters("no free physical registers")
+        srcs = di.nz_srcs
+        if srcs:
+            rat_map = self._rat_map
+            add_ref = prf.add_ref
+            src_pregs = []
+            for arch in srcs:
+                preg = rat_map[arch]
+                add_ref(preg)
+                src_pregs.append(preg)
+            di.src_pregs = tuple(src_pregs)
+        if dst >= 0:
             new_preg = prf.allocate()
-            di.prev_preg = self.rat.remap(instr.dst, new_preg)
+            rat_map = self._rat_map
+            di.prev_preg = rat_map[dst]
+            rat_map[dst] = new_preg
             di.dst_preg = new_preg
         di.rename_cycle = cycle
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        for preg in di.src_pregs:
-            self._prf.release(preg)
+        self._prf.release_all(di.src_pregs)
 
     def on_retire(self, di: DynInstr) -> None:
         if di.prev_preg is not None:
             self._prf.release(di.prev_preg)
+

@@ -97,24 +97,27 @@ class TestHarnessCanFail:
 
     def test_broken_optimizer_is_caught(self, monkeypatch):
         # Corrupt the CP/RA transform's early-executed ADD results by
-        # one: the oracle trace stays correct, so the optimizer now
+        # one (the ADD entry of the transform table, which also serves
+        # lda): the oracle trace stays correct, so the optimizer now
         # fabricates values and the harness must report it (the strict
         # verifier raises, which the harness records as a finding).
         from repro.core import cpra, symbolic
-        from repro.isa.opcodes import Opcode
+        from repro.isa.opcodes import OPCODE_ID, Opcode
 
-        real = cpra.transform
+        add_id = OPCODE_ID[Opcode.ADD]
+        real = cpra.TRANSFORM_BY_ID[add_id]
 
-        def corrupt(opcode, srcs):
-            outcome = real(opcode, srcs)
-            if (opcode is Opcode.ADD and outcome.is_early
-                    and outcome.value is not None):
+        def corrupt(a, b):
+            outcome = real(a, b)
+            if outcome.is_early and outcome.value is not None:
                 return outcome._replace(
                     value=outcome.value + 1,
                     sym=symbolic.const(outcome.value + 1))
             return outcome
 
-        monkeypatch.setattr(cpra, "transform", corrupt)
+        table = list(cpra.TRANSFORM_BY_ID)
+        table[add_id] = corrupt
+        monkeypatch.setattr(cpra, "TRANSFORM_BY_ID", tuple(table))
         report = check_workload("synth:ilp@seed=0")
         assert not report.ok
         failed = {c.name for c in report.failures}

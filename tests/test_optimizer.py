@@ -262,6 +262,36 @@ bufp:   .quad buf
         assert stats.retired == 13
 
 
+def _zero_store_then_load(store: str, load: str) -> str:
+    """A known-address store of a zero register, then a reload of it.
+
+    Ten independent adds on each side keep the store and the load in
+    separate rename bundles, so the MBC entry is committed in between.
+    """
+    adds = "        add r1, r1, 1\n" * 10
+    return (".text\n        lda r8, 4096(r31)\n" + adds
+            + f"        {store}, 0(r8)\n" + adds
+            + f"        {load}, 0(r8)\n        halt\n")
+
+
+class TestZeroRegisterStoreForwarding:
+    def test_fp_zero_store_then_fp_load(self):
+        # f31 has no physical register to forward: the store
+        # invalidates the location and the load reads memory.
+        source = _zero_store_then_load("stf f31", "ldf f1")
+        base, opt = run_both(source)
+        assert opt.retired == base.retired == 23
+        assert opt.loads_removed == 0
+
+    def test_int_zero_store_then_int_load(self):
+        # r31 forwards as the constant 0: the load executes early.
+        source = _zero_store_then_load("stq r31", "ldq r2")
+        base, opt = run_both(source)
+        assert opt.retired == base.retired == 23
+        assert opt.loads_removed == 1
+        assert opt.extra["opt_mbc_misspeculations"] == 0
+
+
 class TestValueFeedback:
     def test_feedback_enables_later_early_execution(self):
         # A loop counter loaded from memory: early iterations rename

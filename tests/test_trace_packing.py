@@ -21,6 +21,8 @@ from repro.engine.search import SearchSpace, run_search
 from repro.experiments import runner
 from repro.functional.trace import PackedTrace, TraceEntry
 from repro.uarch.config import default_config
+from repro.uarch.dyninstr import (STATIC_FIELDS, DynInstr, decode_static,
+                                  decode_table)
 from repro.uarch.pipeline import simulate_trace
 from repro.workloads import build_trace
 
@@ -110,6 +112,34 @@ class TestPipelineParity:
         from_packed = simulate_trace(trace, config)
         from_entries = simulate_trace(trace.to_entries(), config)
         assert from_packed.to_dict() == from_entries.to_dict()
+
+
+class TestDynInstrConstructors:
+    """Both ``DynInstr`` constructors decode through one function."""
+
+    def test_packed_and_entry_constructors_agree(self):
+        trace = build_trace("mcf", 1).trace
+        statics = decode_table(trace.instrs, lambda instr: None)
+        fields = [name for name in DynInstr.__slots__
+                  if name not in ("_trace", "_row", "_entry")]
+        for row in range(len(trace)):
+            packed = DynInstr.from_packed(trace, row, 7, statics)
+            built = DynInstr(trace.entry(row), 7)
+            for name in fields:
+                assert getattr(packed, name) == getattr(built, name), \
+                    (row, name)
+
+    def test_static_fields_follow_decode_static(self):
+        trace = build_trace("mcf", 1).trace
+        for instr in trace.instrs:
+            decoded = decode_static(instr)
+            assert len(decoded) == len(STATIC_FIELDS)
+            fields = dict(zip(STATIC_FIELDS, decoded))
+            assert fields["instr"] is instr
+            assert fields["reg_srcs"] == instr.reg_sources()
+            assert 31 not in fields["nz_srcs"]
+            assert fields["dst_arch"] in (-1, instr.dst)
+            assert fields["plan"] is None
 
 
 class TestEngineLedgerParity:
