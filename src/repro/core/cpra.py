@@ -83,8 +83,10 @@ _PLAIN_REDUCED = _tuple_new(Outcome, (Kind.PLAIN, None, None, False, True))
 
 _const = symbolic.const
 _add_const = symbolic.add_const
-_shift_left = symbolic.shift_left
+_sym_shift_left = symbolic.shift_left
 _INT_EVAL = alu.INT_EVAL_BY_ID
+_ADD = _INT_EVAL[OPCODE_ID[Opcode.ADD]]
+_SUB = _INT_EVAL[OPCODE_ID[Opcode.SUB]]
 _SLL = _INT_EVAL[OPCODE_ID[Opcode.SLL]]
 _to_signed64 = alu.to_signed64
 
@@ -107,34 +109,30 @@ def _mov(a, b) -> Outcome:
     return _tuple_new(Outcome, (_REWRITTEN, None, a, False, False))
 
 
-def _add_transform(fn):
-    def add(a, b) -> Outcome:
+def _add(a, b) -> Outcome:
+    if a[0] is None:
+        if b[0] is None:
+            value = _ADD(a[2], b[2])
+            return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                        True, False))
+        return _tuple_new(Outcome, (_REWRITTEN, None,
+                                    _add_const(b, a[2]), True, False))
+    if b[0] is None:
+        return _tuple_new(Outcome, (_REWRITTEN, None,
+                                    _add_const(a, b[2]), True, False))
+    return PLAIN
+
+
+def _sub(a, b) -> Outcome:
+    if b[0] is None:
         if a[0] is None:
-            if b[0] is None:
-                value = fn(a[2], b[2])
-                return _tuple_new(Outcome, (_EARLY, value, _const(value),
-                                            True, False))
-            return _tuple_new(Outcome, (_REWRITTEN, None,
-                                        _add_const(b, a[2]), True, False))
-        if b[0] is None:
-            return _tuple_new(Outcome, (_REWRITTEN, None,
-                                        _add_const(a, b[2]), True, False))
-        return PLAIN
-    return add
-
-
-def _sub_transform(fn):
-    def sub(a, b) -> Outcome:
-        if b[0] is None:
-            if a[0] is None:
-                value = fn(a[2], b[2])
-                return _tuple_new(Outcome, (_EARLY, value, _const(value),
-                                            True, False))
-            # Only sym - const is representable.
-            return _tuple_new(Outcome, (_REWRITTEN, None,
-                                        _add_const(a, -b[2]), True, False))
-        return PLAIN
-    return sub
+            value = _SUB(a[2], b[2])
+            return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                        True, False))
+        # Only sym - const is representable.
+        return _tuple_new(Outcome, (_REWRITTEN, None,
+                                    _add_const(a, -b[2]), True, False))
+    return PLAIN
 
 
 def _scaled_add_transform(fn, shift: int):
@@ -149,7 +147,7 @@ def _scaled_add_transform(fn, shift: int):
                 _REWRITTEN, None,
                 _add_const(b, _to_signed64(a[2] << shift)), True, False))
         if b[0] is None:
-            shifted = _shift_left(a, shift)
+            shifted = _sym_shift_left(a, shift)
             if shifted is not None:
                 return _tuple_new(Outcome, (
                     _REWRITTEN, None, _add_const(shifted, b[2]),
@@ -158,19 +156,17 @@ def _scaled_add_transform(fn, shift: int):
     return scaled_add
 
 
-def _shift_left_transform(fn):
-    def shift_left(a, b) -> Outcome:
-        if b[0] is None:
-            if a[0] is None:
-                value = fn(a[2], b[2])
-                return _tuple_new(Outcome, (_EARLY, value, _const(value),
-                                            True, False))
-            shifted = _shift_left(a, b[2] & 0x3F)
-            if shifted is not None:
-                return _tuple_new(Outcome, (_REWRITTEN, None, shifted,
-                                            True, False))
-        return PLAIN
-    return shift_left
+def _shift_left(a, b) -> Outcome:
+    if b[0] is None:
+        if a[0] is None:
+            value = _SLL(a[2], b[2])
+            return _tuple_new(Outcome, (_EARLY, value, _const(value),
+                                        True, False))
+        shifted = _sym_shift_left(a, b[2] & 0x3F)
+        if shifted is not None:
+            return _tuple_new(Outcome, (_REWRITTEN, None, shifted,
+                                        True, False))
+    return PLAIN
 
 
 def _multiply(a, b) -> Outcome:
@@ -192,7 +188,7 @@ def _multiply(a, b) -> Outcome:
                 value = _SLL(other[2], shift)
                 return _tuple_new(Outcome, (_EARLY, value, _const(value),
                                             True, True))
-            shifted = _shift_left(other, shift)
+            shifted = _sym_shift_left(other, shift)
             if shifted is not None:
                 return _tuple_new(Outcome, (_REWRITTEN, None, shifted,
                                             True, True))
@@ -228,15 +224,15 @@ def _build_transform(opcode: Opcode):
     if opcode is Opcode.MOV:
         return _mov
     if opcode is Opcode.ADD:
-        return _add_transform(fn)
+        return _add
     if opcode is Opcode.SUB:
-        return _sub_transform(fn)
+        return _sub
     if opcode is Opcode.S4ADD:
         return _scaled_add_transform(fn, 2)
     if opcode is Opcode.S8ADD:
         return _scaled_add_transform(fn, 3)
     if opcode is Opcode.SLL:
-        return _shift_left_transform(fn)
+        return _shift_left
     if opcode is Opcode.MUL:
         return _multiply
     if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.BIC,

@@ -86,9 +86,6 @@ class PhysRegFile:
     def release(self, preg: int) -> None:
         """Drop one reference; frees the register at zero."""
         count = self._refcount[preg] - 1
-        if count > 0:
-            self._refcount[preg] = count
-            return
         if count < 0:
             raise ValueError(f"release of already-free register p{preg}")
         self._refcount[preg] = count
@@ -101,8 +98,9 @@ class PhysRegFile:
     def release_all(self, pregs) -> None:
         """:meth:`release` each of *pregs* (one reference apiece).
 
-        A register that stays referenced only has its count
-        decremented; the last reference goes through :meth:`release`.
+        The fast path: a register that stays referenced only has its
+        count decremented; the last reference goes through
+        :meth:`release`, which frees the register.
         """
         refcount = self._refcount
         for preg in pregs:

@@ -139,4 +139,3 @@ class BaselineRenamer(Renamer):
     def on_retire(self, di: DynInstr) -> None:
         if di.prev_preg is not None:
             self._prf.release(di.prev_preg)
-

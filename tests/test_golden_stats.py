@@ -5,10 +5,11 @@ baseline machine and on the optimized machine, and a few kernels
 also in the optimizer's sensitivity-study modes (:data:`GOLDEN_MODES`:
 Figure 9's feedback-only mode, Figure 10's depth-1 chaining); each
 run's full :meth:`PipelineStats.to_json` is compared against a
-committed snapshot under ``tests/golden/``.  Any behavioural change in the emulator, the
-assembler, a workload kernel, the synthetic generator, or the timing
-model shows up as a counter-level diff here — deliberately strict, so
-unintentional drift cannot hide inside an aggregate.
+committed snapshot under ``tests/golden/``.  Any behavioural change
+in the emulator, the assembler, a workload kernel, the synthetic
+generator, the timing model or the optimizer shows up as a
+counter-level diff here — deliberately strict, so unintentional drift
+cannot hide inside an aggregate.
 
 Refreshing after an *intentional* change::
 
